@@ -151,11 +151,16 @@ impl Assembler {
     /// The fragment is consumed: when the final fragment's arrival leaves the
     /// assembler holding the only reference to the shared message, the
     /// message is moved out instead of cloned, so steady-state reassembly
-    /// never copies payload data.
+    /// never copies payload data. A single-fragment message completes on
+    /// arrival without touching the table of partial messages.
     pub fn push(&mut self, frag: FragPayload) -> Option<AmMessage> {
         let key = (frag.src, frag.msg_id);
         let frag_count = frag.frag_count;
         let FragPayload { message, .. } = frag;
+        if frag_count <= 1 {
+            self.completed += 1;
+            return Some(unwrap_shared(message));
+        }
         let arrived = match self.partial.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 // Drop this fragment's reference before the completion check
@@ -173,7 +178,7 @@ impl Assembler {
         if arrived >= frag_count {
             let (_, msg) = self.partial.remove(&key).expect("entry just updated");
             self.completed += 1;
-            Some(Arc::try_unwrap(msg).unwrap_or_else(|shared| AmMessage::clone(&shared)))
+            Some(unwrap_shared(msg))
         } else {
             None
         }
@@ -188,6 +193,12 @@ impl Assembler {
     pub fn in_progress(&self) -> usize {
         self.partial.len()
     }
+}
+
+/// Moves a message out of its last shared reference, cloning it only if
+/// another reference is still alive.
+fn unwrap_shared(message: Arc<AmMessage>) -> AmMessage {
+    Arc::try_unwrap(message).unwrap_or_else(|shared| AmMessage::clone(&shared))
 }
 
 /// A slab arena for in-flight fragment payloads.
@@ -457,6 +468,28 @@ mod tests {
         }
         assert_eq!(asm.completed(), 1);
         assert_eq!(asm.in_progress(), 0);
+    }
+
+    #[test]
+    fn single_fragment_messages_complete_without_partial_state() {
+        let mut asm = Assembler::new();
+        // A multi-fragment message from node 1 stays in progress while
+        // single-fragment messages (even from the same sender) pass through.
+        let mut big = fragment_message(NodeId(1), NodeId(0), 0, AmMessage::new(1, 500, vec![]));
+        assert!(asm.push(big.remove(0)).is_none());
+        for (src, id) in [(1, 1), (2, 0), (1, 2)] {
+            let mut frags =
+                fragment_message(NodeId(src), NodeId(0), id, AmMessage::new(7, 64, vec![id]));
+            assert_eq!(frags.len(), 1);
+            let msg = asm
+                .push(frags.pop().unwrap())
+                .expect("one fragment completes");
+            assert_eq!((msg.src, msg.data), (NodeId(src), vec![id]));
+            assert_eq!(asm.in_progress(), 1);
+        }
+        assert_eq!(asm.completed(), 3);
+        let completed = big.into_iter().filter_map(|f| asm.push(f)).count();
+        assert_eq!((completed, asm.completed(), asm.in_progress()), (1, 4, 0));
     }
 
     #[test]

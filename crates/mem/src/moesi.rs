@@ -109,11 +109,93 @@ impl Eviction {
     }
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct Line {
-    block: BlockAddr,
-    state: MoesiState,
-    home: BlockHome,
+/// Sets per page of a cache's tag array. Pages are allocated on the first
+/// fill of one of their sets, so a cache's resident memory follows the sets
+/// a run touches rather than its configured capacity.
+const PAGE_SETS: usize = 64;
+
+type Page = [u64; PAGE_SETS];
+
+/// Bits 0–2 of a packed line: the [`MoesiState`].
+const STATE_MASK: u64 = 0b111;
+/// Bit 3: the block's home is the device (clear: memory).
+const HOME_DEVICE: u64 = 1 << 3;
+/// Bit 4: the set holds a tag. Clear only in an empty set, which is what
+/// tells an empty set apart from an invalidated line that keeps its tag
+/// (the case [`Cache::snarf_fill`] depends on).
+const TAG_PRESENT: u64 = 1 << 4;
+/// Bits 5–63: the block number, which serves as the tag.
+const BLOCK_SHIFT: u32 = 5;
+
+/// One set of a direct-mapped cache packed into a `u64`; zero is the empty
+/// set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedLine(u64);
+
+impl PackedLine {
+    const EMPTY: PackedLine = PackedLine(0);
+
+    fn new(block: BlockAddr, state: MoesiState, home: BlockHome) -> Self {
+        assert!(
+            block.0 >> (u64::BITS - BLOCK_SHIFT) == 0,
+            "{block} does not fit a packed cache tag"
+        );
+        let home = match home {
+            BlockHome::Memory => 0,
+            BlockHome::Device => HOME_DEVICE,
+        };
+        PackedLine(block.0 << BLOCK_SHIFT | TAG_PRESENT | home | state as u64)
+    }
+
+    fn has_tag(self) -> bool {
+        self.0 & TAG_PRESENT != 0
+    }
+
+    /// Whether the set holds `block`'s tag (in any state, Invalid included).
+    fn holds(self, block: BlockAddr) -> bool {
+        self.has_tag() && self.block() == block
+    }
+
+    fn block(self) -> BlockAddr {
+        BlockAddr(self.0 >> BLOCK_SHIFT)
+    }
+
+    /// The inverse of the `state as u64` encoding (declaration order).
+    fn state(self) -> MoesiState {
+        match self.0 & STATE_MASK {
+            0 => MoesiState::Modified,
+            1 => MoesiState::Owned,
+            2 => MoesiState::Exclusive,
+            3 => MoesiState::Shared,
+            _ => MoesiState::Invalid,
+        }
+    }
+
+    fn home(self) -> BlockHome {
+        if self.0 & HOME_DEVICE != 0 {
+            BlockHome::Device
+        } else {
+            BlockHome::Memory
+        }
+    }
+
+    fn with_state(self, state: MoesiState) -> Self {
+        PackedLine(self.0 & !STATE_MASK | state as u64)
+    }
+
+    /// The valid line a fill of `block` into this set would displace.
+    fn victim_for(self, block: BlockAddr) -> Option<Eviction> {
+        (self.has_tag() && self.block() != block && self.state().is_valid())
+            .then(|| self.eviction())
+    }
+
+    fn eviction(self) -> Eviction {
+        Eviction {
+            block: self.block(),
+            state: self.state(),
+            home: self.home(),
+        }
+    }
 }
 
 /// A direct-mapped, write-allocate MOESI cache.
@@ -130,10 +212,15 @@ struct Line {
 /// assert_eq!(cache.classify_read(blk), AccessOutcome::Hit);
 /// assert_eq!(cache.classify_write(blk), AccessOutcome::Hit);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+// No serde derives: the fixed-size pages would need a serde helper, and
+// nothing serializes a cache.
+#[derive(Debug, Clone)]
 pub struct Cache {
     name: String,
-    sets: Vec<Option<Line>>,
+    /// The tag array in pages of [`PAGE_SETS`] packed lines; a page that was
+    /// never filled is `None` and reads as empty sets.
+    pages: Box<[Option<Box<Page>>]>,
+    num_sets: usize,
     hits: u64,
     misses: u64,
     upgrade_misses: u64,
@@ -145,7 +232,7 @@ pub struct Cache {
 
 impl Cache {
     /// Creates a direct-mapped cache of `size_bytes` capacity with 64-byte
-    /// blocks.
+    /// blocks. No tag storage is allocated until a set is first filled.
     ///
     /// # Panics
     ///
@@ -158,7 +245,8 @@ impl Cache {
         let num_sets = size_bytes / CACHE_BLOCK_BYTES;
         Cache {
             name: name.to_owned(),
-            sets: vec![None; num_sets],
+            pages: vec![None; num_sets.div_ceil(PAGE_SETS)].into_boxed_slice(),
+            num_sets,
             hits: 0,
             misses: 0,
             upgrade_misses: 0,
@@ -176,28 +264,34 @@ impl Cache {
 
     /// Number of sets (== number of blocks for a direct-mapped cache).
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.num_sets
     }
 
     fn set_index(&self, block: BlockAddr) -> usize {
-        (block.0 % self.sets.len() as u64) as usize
+        (block.0 % self.num_sets as u64) as usize
     }
 
-    fn line(&self, block: BlockAddr) -> Option<&Line> {
-        let idx = self.set_index(block);
-        self.sets[idx].as_ref().filter(|l| l.block == block)
+    /// The packed line in set `idx` (empty if its page was never filled).
+    fn line(&self, idx: usize) -> PackedLine {
+        self.pages[idx / PAGE_SETS]
+            .as_ref()
+            .map_or(PackedLine::EMPTY, |page| PackedLine(page[idx % PAGE_SETS]))
     }
 
-    fn line_mut(&mut self, block: BlockAddr) -> Option<&mut Line> {
-        let idx = self.set_index(block);
-        self.sets[idx].as_mut().filter(|l| l.block == block)
+    /// Stores `line` in set `idx`, allocating the set's page on first use.
+    fn store(&mut self, idx: usize, line: PackedLine) {
+        let page = self.pages[idx / PAGE_SETS].get_or_insert_with(|| Box::new([0; PAGE_SETS]));
+        page[idx % PAGE_SETS] = line.0;
     }
 
     /// Current state of `block` (Invalid if not present).
     pub fn lookup(&self, block: BlockAddr) -> MoesiState {
-        self.line(block)
-            .map(|l| l.state)
-            .unwrap_or(MoesiState::Invalid)
+        let line = self.line(self.set_index(block));
+        if line.holds(block) {
+            line.state()
+        } else {
+            MoesiState::Invalid
+        }
     }
 
     /// Classifies a read access without changing state.
@@ -225,15 +319,7 @@ impl Cache {
 
     /// Returns the victim that a fill of `block` would displace, if any.
     pub fn peek_victim(&self, block: BlockAddr) -> Option<Eviction> {
-        let idx = self.set_index(block);
-        match &self.sets[idx] {
-            Some(line) if line.block != block && line.state.is_valid() => Some(Eviction {
-                block: line.block,
-                state: line.state,
-                home: line.home,
-            }),
-            _ => None,
-        }
+        self.line(self.set_index(block)).victim_for(block)
     }
 
     /// Installs `block` in `state`, returning the eviction it displaced (if
@@ -245,15 +331,15 @@ impl Cache {
         home: BlockHome,
     ) -> Option<Eviction> {
         self.misses += 1;
-        let victim = self.peek_victim(block);
+        let idx = self.set_index(block);
+        let victim = self.line(idx).victim_for(block);
         if let Some(ev) = &victim {
             self.evictions += 1;
             if ev.needs_writeback() {
                 self.writebacks += 1;
             }
         }
-        let idx = self.set_index(block);
-        self.sets[idx] = Some(Line { block, state, home });
+        self.store(idx, PackedLine::new(block, state, home));
         victim
     }
 
@@ -264,19 +350,14 @@ impl Cache {
     /// an empty set, may grab data it observes on the bus. Real snarfing
     /// implementations require an address (tag) match; we model the common
     /// case where the receive-queue blocks were previously cached and later
-    /// invalidated, so the tag still matches.
+    /// invalidated, so the tag still matches. An empty set has no tag to
+    /// match, so it never snarfs.
     pub fn snarf_fill(&mut self, block: BlockAddr, home: BlockHome) -> bool {
         let idx = self.set_index(block);
-        let can_snarf = match &self.sets[idx] {
-            None => false, // no tag allocated: nothing to match against
-            Some(line) => line.block == block && line.state == MoesiState::Invalid,
-        };
+        let line = self.line(idx);
+        let can_snarf = line.holds(block) && line.state() == MoesiState::Invalid;
         if can_snarf {
-            self.sets[idx] = Some(Line {
-                block,
-                state: MoesiState::Shared,
-                home,
-            });
+            self.store(idx, PackedLine::new(block, MoesiState::Shared, home));
             self.snarf_fills += 1;
         }
         can_snarf
@@ -288,13 +369,13 @@ impl Cache {
     ///
     /// Panics if the block is not present; callers must fill first.
     pub fn set_state(&mut self, block: BlockAddr, state: MoesiState) {
-        let name = self.name.clone();
-        let line = self
-            .line_mut(block)
-            .unwrap_or_else(|| panic!("{name}: set_state on absent block {block}"));
-        line.state = state;
+        let idx = self.set_index(block);
+        let line = self.line(idx);
+        if !line.holds(block) {
+            panic!("{}: set_state on absent block {block}", self.name);
+        }
+        self.store(idx, line.with_state(state));
     }
-
     /// Records an upgrade miss (write to a Shared/Owned line) and grants
     /// ownership, transitioning the line to Modified.
     ///
@@ -346,29 +427,29 @@ impl Cache {
     /// Evicts `block` if present, returning the eviction record.
     pub fn evict(&mut self, block: BlockAddr) -> Option<Eviction> {
         let idx = self.set_index(block);
-        match &self.sets[idx] {
-            Some(line) if line.block == block && line.state.is_valid() => {
-                let ev = Eviction {
-                    block: line.block,
-                    state: line.state,
-                    home: line.home,
-                };
-                self.sets[idx] = None;
-                self.evictions += 1;
-                if ev.needs_writeback() {
-                    self.writebacks += 1;
-                }
-                Some(ev)
-            }
-            _ => None,
+        let line = self.line(idx);
+        if !(line.holds(block) && line.state().is_valid()) {
+            return None;
         }
+        let ev = line.eviction();
+        self.store(idx, PackedLine::EMPTY);
+        self.evictions += 1;
+        if ev.needs_writeback() {
+            self.writebacks += 1;
+        }
+        Some(ev)
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.sets
+        self.pages
             .iter()
-            .filter(|l| matches!(l, Some(line) if line.state.is_valid()))
+            .flatten()
+            .flat_map(|page| page.iter())
+            .filter(|&&word| {
+                let line = PackedLine(word);
+                line.has_tag() && line.state().is_valid()
+            })
             .count()
     }
 
@@ -547,6 +628,109 @@ mod tests {
         let ev = cache.evict(blk(8)).unwrap();
         assert!(ev.needs_writeback());
         assert_eq!(cache.resident_blocks(), 0);
+    }
+
+    #[test]
+    fn packed_lines_round_trip_every_state_and_home() {
+        let states = [
+            MoesiState::Modified,
+            MoesiState::Owned,
+            MoesiState::Exclusive,
+            MoesiState::Shared,
+            MoesiState::Invalid,
+        ];
+        assert!(!PackedLine::EMPTY.has_tag());
+        assert!(!PackedLine::EMPTY.holds(blk(0)));
+        for state in states {
+            for home in [BlockHome::Memory, BlockHome::Device] {
+                for block in [blk(0), blk(1), blk(4607), blk((1 << 59) - 1)] {
+                    let line = PackedLine::new(block, state, home);
+                    assert!(line.has_tag() && line.holds(block));
+                    assert!(!line.holds(blk(block.0 ^ 1)));
+                    assert_eq!(
+                        (line.block(), line.state(), line.home()),
+                        (block, state, home)
+                    );
+                    for next in states {
+                        let moved = line.with_state(next);
+                        assert_eq!((moved.block(), moved.state()), (block, next));
+                        assert_eq!(moved.home(), home);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed cache tag")]
+    fn blocks_beyond_the_tag_width_are_refused() {
+        let mut cache = Cache::new("t", 1024);
+        cache.fill(blk(1 << 59), MoesiState::Shared, BlockHome::Memory);
+    }
+
+    #[test]
+    fn snarf_tells_an_empty_set_from_an_invalidated_tag() {
+        // 1024 sets in 16 pages. A set in a page that was never allocated,
+        // and an empty set in a page that was: neither has a tag to match.
+        let mut cache = Cache::new("t", 64 * 1024);
+        assert!(!cache.snarf_fill(blk(700), BlockHome::Device));
+        assert_eq!(cache.pages.iter().flatten().count(), 0);
+        cache.fill(blk(701), MoesiState::Modified, BlockHome::Device);
+        assert!(!cache.snarf_fill(blk(700), BlockHome::Device));
+        // An evicted line leaves its set empty again.
+        cache.evict(blk(701));
+        assert!(!cache.snarf_fill(blk(701), BlockHome::Device));
+        // An invalidated line keeps its tag, whatever its old state and home.
+        cache.fill(blk(701), MoesiState::Owned, BlockHome::Memory);
+        cache.snoop_invalidate(blk(701));
+        assert!(cache.snarf_fill(blk(701), BlockHome::Device));
+        assert_eq!(cache.lookup(blk(701)), MoesiState::Shared);
+        assert_eq!(
+            cache.peek_victim(blk(701 + 1024)).unwrap().home,
+            BlockHome::Device
+        );
+    }
+
+    #[test]
+    fn pages_are_allocated_on_first_fill_and_counted_across_pages() {
+        let mut cache = Cache::new("t", 256 * 1024); // 4096 sets, 64 pages
+        assert_eq!(cache.pages.len(), 64);
+        assert_eq!(cache.pages.iter().flatten().count(), 0);
+        // Read-only traffic and snoops allocate nothing.
+        assert_eq!(cache.lookup(blk(5)), MoesiState::Invalid);
+        cache.snoop_read(blk(5));
+        cache.snoop_invalidate(blk(5));
+        assert!(cache.evict(blk(5)).is_none());
+        assert_eq!(cache.pages.iter().flatten().count(), 0);
+        // Sets 0, 63 (page 0), 64 (page 1) and 4095 (page 63).
+        for (n, state) in [
+            (0, MoesiState::Modified),
+            (63, MoesiState::Shared),
+            (64, MoesiState::Exclusive),
+            (4095, MoesiState::Owned),
+        ] {
+            cache.fill(blk(n), state, BlockHome::Memory);
+        }
+        assert_eq!(cache.pages.iter().flatten().count(), 3);
+        assert_eq!(cache.resident_blocks(), 4);
+        // An invalidated line keeps its tag but is not resident.
+        cache.snoop_invalidate(blk(64));
+        assert_eq!(cache.resident_blocks(), 3);
+        cache.evict(blk(4095));
+        assert_eq!(cache.resident_blocks(), 2);
+        assert_eq!(cache.pages.iter().flatten().count(), 3);
+    }
+
+    #[test]
+    fn partial_last_page_covers_every_set() {
+        let mut cache = Cache::new("t", 100 * 64); // 100 sets: 1 full + 1 partial page
+        assert_eq!(cache.pages.len(), 2);
+        cache.fill(blk(99), MoesiState::Exclusive, BlockHome::Device);
+        let ev = cache
+            .fill(blk(199), MoesiState::Shared, BlockHome::Memory)
+            .unwrap();
+        assert_eq!((ev.block, ev.home), (blk(99), BlockHome::Device));
+        assert_eq!(cache.resident_blocks(), 1);
     }
 
     #[test]

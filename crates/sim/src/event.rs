@@ -15,23 +15,24 @@
 //! * **[`QueueBackend::TimingWheel`]** (the default) — a hierarchical timing
 //!   wheel: eleven levels of 64 one-cycle (level 0) to 64¹⁰-cycle (level 10)
 //!   slots, each with a 64-bit occupancy bitmap. Scheduling is `O(1)`
-//!   (compute level and slot from `time ^ now`, append to the slot's deque);
+//!   (compute level and slot from `time ^ now`, append to the slot's list);
 //!   popping finds the lowest occupied level with two or three
 //!   `trailing_zeros` instructions and cascades coarse slots toward level 0
-//!   as time advances. Slot deques retain their capacity, so the wheel
-//!   performs **no allocation in steady state** — the property the machine
-//!   model's hot loop depends on.
+//!   as time advances. Entries live in one slab per wheel whose freed
+//!   entries are reused, so the wheel retains memory for its peak number of
+//!   pending events and performs **no allocation in steady state** — the
+//!   property the machine model's hot loop depends on.
 //!
 //! Both backends produce *bit-identical* pop sequences (each level-0 slot
-//! holds exactly one cycle, so FIFO-within-cycle is the deque order, and
-//! cascading preserves insertion order); `tests/properties.rs` proves this
+//! holds exactly one cycle, so FIFO-within-cycle is the slot list's order,
+//! and cascading preserves insertion order); `tests/properties.rs` proves this
 //! over randomized schedules. The one intentional divergence: scheduling an
 //! event *in the past* (disallowed, and caught by a debug assertion) is
 //! clamped to the current cycle by the wheel, while the heap preserves the
 //! stale timestamp ordering.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
 
@@ -101,23 +102,56 @@ const SLOTS_PER_LEVEL: usize = 1 << LEVEL_BITS;
 /// (`6 bits × 11 levels = 66 bits`).
 const LEVELS: usize = 11;
 
+/// "No entry": the end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pending event in the wheel's entry slab.
 #[derive(Clone)]
-struct WheelSlot<E> {
-    /// `(time, wrapper sequence number, event)`. The wheel orders by time
-    /// and deque position alone; the sequence number rides along so the
-    /// speculative delta journal can tell pre-mark entries from post-mark
-    /// ones (see [`EventQueue::rollback_delta`]).
-    entries: VecDeque<(Cycle, u64, E)>,
+struct WheelEntry<E> {
+    at: Cycle,
+    /// The wrapper's sequence number. The wheel orders by time and list
+    /// position alone; the sequence number rides along so the speculative
+    /// delta journal can tell pre-mark entries from post-mark ones (see
+    /// [`EventQueue::rollback_delta`]).
+    seq: u64,
+    /// The next entry in the same slot's FIFO list, or in the free list.
+    next: u32,
+    /// `None` exactly while the entry is on the free list.
+    event: Option<E>,
 }
 
+/// A slot's FIFO list of slab indices (`head` is [`NIL`] when empty; `tail`
+/// is meaningful only when `head` is not).
+#[derive(Clone, Copy)]
+struct SlotList {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_SLOT: SlotList = SlotList {
+    head: NIL,
+    tail: NIL,
+};
+
 #[derive(Clone)]
-struct WheelLevel<E> {
+struct WheelLevel {
     /// Bit `s` set iff `slots[s]` is non-empty.
     occupied: u64,
-    slots: Vec<WheelSlot<E>>,
+    slots: [SlotList; SLOTS_PER_LEVEL],
 }
 
+const EMPTY_LEVEL: WheelLevel = WheelLevel {
+    occupied: 0,
+    slots: [EMPTY_SLOT; SLOTS_PER_LEVEL],
+};
+
 /// A hierarchical timing wheel keyed by absolute cycle.
+///
+/// Every pending event lives in one entry slab; a slot is a FIFO list of
+/// slab indices, and freed entries go on an intrusive free list. Retained
+/// memory therefore follows the peak number of pending events rather than
+/// each slot's own peak, a cascade relinks indices instead of moving
+/// entries, and once the slab has grown to the peak nothing allocates.
 ///
 /// Invariants (all relative to `elapsed`, the time of the last pop):
 ///
@@ -130,12 +164,12 @@ struct WheelLevel<E> {
 ///   higher level.
 #[derive(Clone)]
 struct Wheel<E> {
-    levels: Vec<WheelLevel<E>>,
+    levels: Box<[WheelLevel; LEVELS]>,
+    entries: Vec<WheelEntry<E>>,
+    /// Head of the free list threaded through vacant `entries`.
+    free: u32,
     elapsed: Cycle,
     len: usize,
-    /// Reused cascade buffer so redistribution never allocates in steady
-    /// state.
-    scratch: Vec<(Cycle, u64, E)>,
 }
 
 fn level_for(at: Cycle, elapsed: Cycle) -> usize {
@@ -166,19 +200,11 @@ fn slot_start(elapsed: Cycle, level: usize, slot: usize) -> Cycle {
 impl<E> Wheel<E> {
     fn new() -> Self {
         Wheel {
-            levels: (0..LEVELS)
-                .map(|_| WheelLevel {
-                    occupied: 0,
-                    slots: (0..SLOTS_PER_LEVEL)
-                        .map(|_| WheelSlot {
-                            entries: VecDeque::new(),
-                        })
-                        .collect(),
-                })
-                .collect(),
+            levels: Box::new([EMPTY_LEVEL; LEVELS]),
+            entries: Vec::new(),
+            free: NIL,
             elapsed: 0,
             len: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -187,15 +213,58 @@ impl<E> Wheel<E> {
         // `EventQueue` wrapper) are clamped to the current cycle.
         let at = at.max(self.elapsed);
         self.insert(at, seq, event);
+    }
+
+    /// Stores an entry in the slab and links it into its slot.
+    fn insert(&mut self, at: Cycle, seq: u64, event: E) {
+        let entry = WheelEntry {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let index = if self.free == NIL {
+            let index = u32::try_from(self.entries.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("more than 2^32 - 1 pending events");
+            self.entries.push(entry);
+            index
+        } else {
+            let index = self.free;
+            self.free = self.entries[index as usize].next;
+            self.entries[index as usize] = entry;
+            index
+        };
+        self.link(index);
         self.len += 1;
     }
 
-    fn insert(&mut self, at: Cycle, seq: u64, event: E) {
-        let level = level_for(at, self.elapsed);
-        let slot = slot_for(at, level);
+    /// Appends slab entry `index` to the slot its time maps to.
+    fn link(&mut self, index: u32) {
+        let entry = &mut self.entries[index as usize];
+        entry.next = NIL;
+        let level = level_for(entry.at, self.elapsed);
+        let slot = slot_for(entry.at, level);
         let lvl = &mut self.levels[level];
-        lvl.slots[slot].entries.push_back((at, seq, event));
+        let list = &mut lvl.slots[slot];
+        if list.head == NIL {
+            list.head = index;
+        } else {
+            self.entries[list.tail as usize].next = index;
+        }
+        list.tail = index;
         lvl.occupied |= 1u64 << slot;
+    }
+
+    /// Times of the entries in a slot list, in list order.
+    fn times(&self, list: SlotList) -> impl Iterator<Item = Cycle> + '_ {
+        let mut index = list.head;
+        std::iter::from_fn(move || {
+            let entry = self.entries.get(index as usize)?;
+            index = entry.next;
+            Some(entry.at)
+        })
     }
 
     fn pop(&mut self) -> Option<(Cycle, u64, E)> {
@@ -220,32 +289,32 @@ impl<E> Wheel<E> {
                 .min_position()
                 .expect("len > 0 implies an occupied slot");
             if level == 0 {
-                // A level-0 slot holds exactly one cycle's events; the front
+                // A level-0 slot holds exactly one cycle's events; the head
                 // entry's time is the queue minimum.
                 let lvl = &mut self.levels[0];
-                if lvl.slots[slot]
-                    .entries
-                    .front()
-                    .is_some_and(|(at, _, _)| *at >= horizon)
-                {
+                let list = &mut lvl.slots[slot];
+                let index = list.head;
+                let entry = &mut self.entries[index as usize];
+                if entry.at >= horizon {
                     return None;
                 }
-                let (at, seq, event) = lvl.slots[slot]
-                    .entries
-                    .pop_front()
-                    .expect("occupancy bit was set");
-                if lvl.slots[slot].entries.is_empty() {
+                list.head = entry.next;
+                if list.head == NIL {
                     lvl.occupied &= !(1u64 << slot);
                 }
+                let event = entry.event.take().expect("linked entries hold an event");
+                let (at, seq) = (entry.at, entry.seq);
+                entry.next = self.free;
+                self.free = index;
                 self.len -= 1;
                 debug_assert!(at >= self.elapsed);
                 self.elapsed = at;
                 return Some((at, seq, event));
             }
             // Cascade the coarse slot down: advance the wheel to the slot's
-            // first cycle and redistribute its entries, which all land at
-            // strictly lower levels. Draining through `scratch` preserves
-            // insertion order, so FIFO-within-cycle survives the cascade.
+            // first cycle and relink its entries, which all land at strictly
+            // lower levels. Walking the list in order preserves insertion
+            // order, so FIFO-within-cycle survives the cascade.
             let start = slot_start(self.elapsed, level, slot);
             if start >= horizon {
                 // Every entry in this slot — and, by the level ordering
@@ -260,10 +329,8 @@ impl<E> Wheel<E> {
             // `Cycle::MAX`) never pays for it.
             let span = 1u64 << (LEVEL_BITS as usize * level);
             if horizon < start.saturating_add(span) {
-                let earliest = self.levels[level].slots[slot]
-                    .entries
-                    .iter()
-                    .map(|(at, _, _)| *at)
+                let earliest = self
+                    .times(self.levels[level].slots[slot])
                     .min()
                     .expect("occupancy bit was set");
                 if earliest >= horizon {
@@ -271,15 +338,15 @@ impl<E> Wheel<E> {
                 }
             }
             debug_assert!(start >= self.elapsed);
-            let mut scratch = std::mem::take(&mut self.scratch);
             let lvl = &mut self.levels[level];
-            scratch.extend(lvl.slots[slot].entries.drain(..));
+            let mut index = std::mem::replace(&mut lvl.slots[slot], EMPTY_SLOT).head;
             lvl.occupied &= !(1u64 << slot);
             self.elapsed = start;
-            for (at, seq, event) in scratch.drain(..) {
-                self.insert(at, seq, event);
+            while index != NIL {
+                let next = self.entries[index as usize].next;
+                self.link(index);
+                index = next;
             }
-            self.scratch = scratch;
         }
     }
 
@@ -308,27 +375,24 @@ impl<E> Wheel<E> {
         let (level, slot) = self.min_position()?;
         // Level-0 slots hold a single cycle; coarser slots can mix cycles, so
         // scan for the minimum (peeks are rare — the hot loop only pops).
-        self.levels[level].slots[slot]
-            .entries
-            .iter()
-            .map(|(at, _, _)| *at)
-            .min()
+        self.times(self.levels[level].slots[slot]).min()
+    }
+
+    /// Removes every pending entry, passing each one that `keep` accepts to
+    /// `out` in slab order. The slab keeps its capacity.
+    fn drain_into(&mut self, out: &mut Vec<(Cycle, u64, E)>, keep: impl Fn(u64) -> bool) {
+        for entry in self.entries.drain(..) {
+            if let Some(event) = entry.event.filter(|_| keep(entry.seq)) {
+                out.push((entry.at, entry.seq, event));
+            }
+        }
+        *self.levels = [EMPTY_LEVEL; LEVELS];
+        self.free = NIL;
+        self.len = 0;
     }
 
     fn clear(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        for lvl in &mut self.levels {
-            let mut occupied = lvl.occupied;
-            while occupied != 0 {
-                let slot = occupied.trailing_zeros() as usize;
-                lvl.slots[slot].entries.clear();
-                occupied &= occupied - 1;
-            }
-            lvl.occupied = 0;
-        }
-        self.len = 0;
+        self.drain_into(&mut Vec::new(), |_| false);
     }
 }
 
@@ -444,6 +508,16 @@ impl<E> EventQueue<E> {
         match &self.backend {
             Backend::Heap(heap) => heap.len(),
             Backend::Wheel(wheel) => wheel.len,
+        }
+    }
+
+    /// Number of events the queue can hold before it next allocates — the
+    /// wheel's entry slab or the heap's buffer. Neither shrinks, so this
+    /// follows the peak number of pending events.
+    pub fn capacity(&self) -> usize {
+        match &self.backend {
+            Backend::Heap(heap) => heap.capacity(),
+            Backend::Wheel(wheel) => wheel.entries.capacity(),
         }
     }
 
@@ -641,21 +715,7 @@ impl<E> EventQueue<E> {
                 );
             }
             Backend::Wheel(wheel) => {
-                for lvl in &mut wheel.levels {
-                    let mut occupied = lvl.occupied;
-                    while occupied != 0 {
-                        let slot = occupied.trailing_zeros() as usize;
-                        survivors.extend(
-                            lvl.slots[slot]
-                                .entries
-                                .drain(..)
-                                .filter(|(_, seq, _)| *seq < mark_seq),
-                        );
-                        occupied &= occupied - 1;
-                    }
-                    lvl.occupied = 0;
-                }
-                wheel.len = 0;
+                wheel.drain_into(&mut survivors, |seq| seq < mark_seq);
                 // Every survivor fires at or after the marked clock, so the
                 // wheel's level invariant holds when re-anchored there (a
                 // refused pop never moves `elapsed`, so `elapsed == now`
@@ -680,7 +740,6 @@ impl<E> EventQueue<E> {
             Backend::Wheel(wheel) => {
                 for (at, seq, event) in survivors {
                     wheel.insert(at, seq, event);
-                    wheel.len += 1;
                 }
             }
         }

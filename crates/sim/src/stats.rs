@@ -373,10 +373,14 @@ impl Merge for LatencyHistogram {
 // `&'static str` from input data), and nothing round-trips trackers.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize)]
 pub struct OccupancyTracker {
+    // `(kind, transactions, busy cycles)`, sorted by kind, so equality and
+    // iteration order do not depend on the order kinds first appeared.
     // Kinds are interned static labels: recording a transaction on the
     // simulator's hot path must not allocate (a `String` key per bus
-    // transaction showed up as the dominant allocation in the machine loop).
-    by_kind: BTreeMap<&'static str, (u64, Cycle)>,
+    // transaction showed up as the dominant allocation in the machine loop),
+    // and a bus sees only a handful of kinds, so a scan comparing label
+    // pointers finds the entry faster than any string-keyed map.
+    by_kind: Vec<(&'static str, u64, Cycle)>,
     total_busy: Cycle,
     transactions: u64,
 }
@@ -394,11 +398,34 @@ impl OccupancyTracker {
     /// allocation-free; every call site labels transactions with string
     /// literals anyway.
     pub fn record(&mut self, kind: &'static str, cycles: Cycle) {
-        let entry = self.by_kind.entry(kind).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += cycles;
+        self.add(kind, 1, cycles);
         self.total_busy += cycles;
         self.transactions += 1;
+    }
+
+    /// Adds `n` transactions and `cycles` busy cycles to `kind`'s entry,
+    /// inserting the entry in kind order on first use.
+    fn add(&mut self, kind: &'static str, n: u64, cycles: Cycle) {
+        // Call sites pass string literals, so the same kind is almost always
+        // the same pointer; equal text behind another pointer falls through
+        // to the ordered search.
+        let index = match self.by_kind.iter().position(|e| std::ptr::eq(e.0, kind)) {
+            Some(index) => index,
+            None => match self.by_kind.binary_search_by(|e| e.0.cmp(kind)) {
+                Ok(index) => index,
+                Err(index) => {
+                    self.by_kind.insert(index, (kind, 0, 0));
+                    index
+                }
+            },
+        };
+        let entry = &mut self.by_kind[index];
+        entry.1 += n;
+        entry.2 += cycles;
+    }
+
+    fn get(&self, kind: &str) -> Option<&(&'static str, u64, Cycle)> {
+        self.by_kind.iter().find(|e| e.0 == kind)
     }
 
     /// Total busy cycles across all kinds.
@@ -413,12 +440,12 @@ impl OccupancyTracker {
 
     /// Busy cycles attributed to `kind` (zero if never recorded).
     pub fn busy_for(&self, kind: &str) -> Cycle {
-        self.by_kind.get(kind).map(|(_, c)| *c).unwrap_or(0)
+        self.get(kind).map_or(0, |e| e.2)
     }
 
     /// Number of transactions of `kind` (zero if never recorded).
     pub fn count_for(&self, kind: &str) -> u64 {
-        self.by_kind.get(kind).map(|(n, _)| *n).unwrap_or(0)
+        self.get(kind).map_or(0, |e| e.1)
     }
 
     /// Utilisation in `0.0..=1.0` over an elapsed wall-clock interval.
@@ -435,7 +462,7 @@ impl OccupancyTracker {
     /// Iterates over `(kind, transaction count, busy cycles)` in
     /// lexicographic kind order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64, Cycle)> + '_ {
-        self.by_kind.iter().map(|(k, (n, c))| (*k, *n, *c))
+        self.by_kind.iter().copied()
     }
 
     /// Resets the tracker.
@@ -449,9 +476,7 @@ impl OccupancyTracker {
 impl Merge for OccupancyTracker {
     fn merge(&mut self, other: &Self) {
         for (kind, n, cycles) in other.iter() {
-            let entry = self.by_kind.entry(kind).or_insert((0, 0));
-            entry.0 += n;
-            entry.1 += cycles;
+            self.add(kind, n, cycles);
         }
         self.total_busy += other.total_busy;
         self.transactions += other.transactions;
@@ -682,6 +707,36 @@ mod tests {
         assert_eq!(a.transactions(), 3);
         assert!((a.utilization(44) - 0.5).abs() < 1e-9);
         assert_eq!(a.utilization(0), 0.0);
+    }
+
+    #[test]
+    fn occupancy_kinds_are_ordered_whatever_the_recording_order() {
+        // The same label text behind a different pointer is the same kind.
+        let membus: &'static str = Box::leak(String::from("membus").into_boxed_str());
+        assert!(!std::ptr::eq(membus, "membus"));
+        let mut a = OccupancyTracker::new();
+        for (kind, cycles) in [("zeta", 1), ("alpha", 2), ("membus", 3), ("alpha", 4)] {
+            a.record(kind, cycles);
+        }
+        let mut b = OccupancyTracker::new();
+        for (kind, cycles) in [(membus, 3), ("alpha", 4), ("zeta", 1), ("alpha", 2)] {
+            b.record(kind, cycles);
+        }
+        assert_eq!(a, b);
+        assert_eq!(
+            a.iter().collect::<Vec<_>>(),
+            [("alpha", 2, 6), ("membus", 1, 3), ("zeta", 1, 1)]
+        );
+        assert_eq!(b.busy_for("membus"), 3);
+        assert_eq!(b.count_for("missing"), 0);
+        let mut c = OccupancyTracker::new();
+        c.record("beta", 9);
+        let ac = OccupancyTracker::merged([a.clone(), c.clone()]);
+        assert_eq!(ac, OccupancyTracker::merged([c, a]));
+        assert_eq!(
+            ac.iter().map(|(kind, ..)| kind).collect::<Vec<_>>(),
+            ["alpha", "beta", "membus", "zeta"]
+        );
     }
 
     #[test]

@@ -210,6 +210,63 @@ fn wheel_and_heap_backends_are_pop_order_identical() {
     }
 }
 
+/// The wheel keeps every pending event in one entry slab, so after many
+/// dense epochs — bursts spread over every wheel level, drained epoch by
+/// epoch with `pop_before` as the sharded driver does — it retains room for
+/// its peak pending count (within `Vec`'s doubling and its minimum of four
+/// entries), however many of its 704
+/// slots those events passed through; and it still pops exactly as the heap
+/// does.
+#[test]
+fn wheel_slab_capacity_follows_the_peak_pending_count() {
+    for case in 0..CASES / 4 {
+        let mut rng = DetRng::new(0x51AB ^ case);
+        let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
+        let mut wheel = EventQueue::with_backend(QueueBackend::TimingWheel);
+        let (mut next_id, mut peak, mut horizon) = (0u64, 0, 0);
+        for epoch in 0..300 {
+            let burst = if epoch % 3 == 0 {
+                rng.gen_index(8)
+            } else {
+                100 + rng.gen_index(400)
+            };
+            for _ in 0..burst {
+                let delta = match rng.gen_index(10) {
+                    0 => rng.gen_range(1 << 20),
+                    1..=3 => rng.gen_range(5_000),
+                    _ => rng.gen_range(300),
+                };
+                let at = heap.now() + delta;
+                heap.schedule(at, next_id);
+                wheel.schedule(at, next_id);
+                next_id += 1;
+            }
+            peak = peak.max(wheel.len());
+            horizon = horizon.max(heap.now()) + 1 + rng.gen_range(400);
+            loop {
+                let (h, w) = (heap.pop_before(horizon), wheel.pop_before(horizon));
+                assert_eq!(h, w, "case {case}, epoch {epoch}: backends diverged");
+                if h.is_none() {
+                    break;
+                }
+            }
+            assert!(
+                wheel.capacity() <= (2 * peak).max(4),
+                "case {case}, epoch {epoch}: slab holds {} entries for a peak of {peak} pending",
+                wheel.capacity()
+            );
+        }
+        assert!(peak >= 1_000, "case {case}: peak {peak} is not dense");
+        loop {
+            let (h, w) = (heap.pop(), wheel.pop());
+            assert_eq!(h, w, "case {case}: backends diverged while draining");
+            if h.is_none() {
+                break;
+            }
+        }
+    }
+}
+
 /// Deterministic RNG: same seed, same stream; bounded values stay in range.
 #[test]
 fn det_rng_is_deterministic_and_bounded() {
